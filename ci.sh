@@ -278,18 +278,11 @@ run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test integr
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test snapshot_isolation
 run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test differential_updates curated
 
-# --- bucket-fusion equivalence ----------------------------------------------
-# Fused and unfused runs must be bit-identical (dist / coreness / trussness
-# and round counts) on both backends, at 1 and 4 threads, and under the
-# adversarial scheduler; the unit suite pins the FusedBuckets adapter and
-# the cross-backend counter contract.
-run cargo test -q --test integration_fusion
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q --test integration_fusion
-run env JULIENNE_CHAOS_SEED=1 JULIENNE_NUM_THREADS=4 cargo test -q -p julienne fused
-# Bench smoke: fused Δ-stepping must actually skip update_buckets round
-# trips on the road-like grid (the binary asserts fused_rounds > 0 and
-# fails the build if the fast path never fires).
-run cargo run -q -p julienne-bench --release --bin fusion 11
+# --- benchmark build -----------------------------------------------------------
+# perfbench/ is a separate Cargo package that builds against the workspace
+# crates by path; compiling and testing it here keeps a change to their
+# public API from breaking the benchmark unnoticed.
+run cargo test --release --manifest-path perfbench/Cargo.toml
 
 # --- concurrency stress ------------------------------------------------------
 # Re-run the lock-free kernels (atomics, bucket structure, worker pool) many

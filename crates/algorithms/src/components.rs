@@ -6,6 +6,7 @@
 use julienne_ligra::edge_map::EdgeMap;
 use julienne_ligra::subset::VertexSubset;
 use julienne_ligra::traits::{GraphRef, OutEdges};
+use julienne_ligra::vertex_ops::vertex_for_each;
 use julienne_primitives::atomics::write_min_u32;
 use julienne_primitives::bitset::AtomicBitSet;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -23,6 +24,10 @@ pub struct ComponentsResult {
 /// Label propagation on a symmetric graph: every vertex starts with its own
 /// id; each round, frontier vertices push their label to neighbors via
 /// `writeMin`. Converges in O(component diameter) rounds.
+///
+/// Each frontier vertex pushes the label it held at the start of the round,
+/// not a value lowered earlier in the same round, so labels, frontiers and
+/// the round count depend only on the frontier set, never on the schedule.
 pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
     assert!(
         g.is_symmetric(),
@@ -30,16 +35,21 @@ pub fn connected_components<G: GraphRef>(g: &G) -> ComponentsResult {
     );
     let n = g.num_vertices();
     let label: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
+    let start: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let flags = AtomicBitSet::new(n);
 
     let mut frontier = VertexSubset::all(n);
     let mut rounds = 0u64;
     while !frontier.is_empty() {
         rounds += 1;
+        vertex_for_each(&frontier, |u| {
+            let lu = label[u as usize].load(Ordering::Relaxed);
+            start[u as usize].store(lu, Ordering::Relaxed);
+        });
         let next = EdgeMap::new(g).run(
             &frontier,
             |u, v, _| {
-                let lu = label[u as usize].load(Ordering::SeqCst);
+                let lu = start[u as usize].load(Ordering::Relaxed);
                 if write_min_u32(&label[v as usize], lu) {
                     return flags.set(v as usize);
                 }

@@ -126,6 +126,7 @@ pub fn coreness<G: OutEdges>(
         let relaxed = moved.entries().len() as u64;
         buckets.update_buckets(moved.entries());
         telemetry.incr(Counter::Rounds);
+        telemetry.incr(Counter::SparseTraversals);
         telemetry.add(Counter::VerticesScanned, ids.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);
         telemetry.add(Counter::EdgesRelaxed, relaxed);
@@ -506,6 +507,17 @@ mod tests {
                 (4, 5),
             ],
         )
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn every_round_counts_one_sparse_traversal() {
+        let g = rmat(9, 8, RmatParams::default(), 5, true);
+        let engine = Engine::builder().telemetry(true).build();
+        let r = coreness(&g, &KcoreParams::default(), &QueryCtx::from_engine(&engine)).unwrap();
+        let t = engine.telemetry();
+        assert_eq!(t.get(Counter::SparseTraversals), r.rounds);
+        assert_eq!(t.get(Counter::DenseTraversals), 0);
     }
 
     #[test]

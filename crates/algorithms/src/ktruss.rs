@@ -45,8 +45,8 @@ pub struct KtrussParams {}
 /// the single entry point behind the `truss` registry id. The graph must be
 /// symmetric.
 ///
-/// Bucket window, fusion policy, and telemetry scope come from `ctx`'s
-/// engine. The context is polled once per peeling round: a cancelled or
+/// Bucket window and telemetry scope come from `ctx`'s engine. The
+/// context is polled once per peeling round: a cancelled or
 /// deadline-expired query returns `Err` with no partial output, dropping
 /// its buckets on the way out.
 pub fn ktruss<G: GraphRef>(

@@ -200,6 +200,7 @@ pub fn cover(
         });
         buckets.update_buckets(&rebucket);
         telemetry.incr(Counter::Rounds);
+        telemetry.incr(Counter::SparseTraversals);
         telemetry.add(Counter::VerticesScanned, sets.len() as u64);
         telemetry.add(Counter::EdgesScanned, round_edges);
         if telemetry.is_enabled() {
@@ -285,6 +286,22 @@ mod tests {
     /// Shorthand: default context, panic on lifecycle/usage errors.
     fn run(inst: &SetCoverInstance, eps: f64) -> SetCoverResult {
         cover(inst, &SetCoverParams { eps }, &QueryCtx::default()).unwrap()
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn every_round_counts_one_sparse_traversal() {
+        let inst = set_cover_instance(50, 2000, 3, 9);
+        let engine = Engine::builder().telemetry(true).build();
+        let r = cover(
+            &inst,
+            &SetCoverParams { eps: 0.01 },
+            &QueryCtx::from_engine(&engine),
+        )
+        .unwrap();
+        let t = engine.telemetry();
+        assert_eq!(t.get(Counter::SparseTraversals), r.rounds);
+        assert_eq!(t.get(Counter::DenseTraversals), 0);
     }
 
     #[test]

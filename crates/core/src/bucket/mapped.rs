@@ -351,18 +351,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for MappedBuckets<D> {
     fn current_bucket(&self) -> BucketId {
         self.bucket_of_key(self.cur_key())
     }
-
-    /// Same slot discipline as the two-argument structure: within the open
-    /// window the cursor's slot uniquely identifies the current bucket.
-    fn is_current_destination(&self, dest: BucketDest) -> bool {
-        !dest.is_null() && self.cur_local < self.num_open && dest.0 == self.cur_local as u32
-    }
-
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier> {
-        let bkt = self.bucket_of_key(self.cur_key());
-        let d = &self.d;
-        filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None })
-    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,7 @@
 //! moving one forward mid-stream. All implementations are used through the
 //! [`Bucketing`] trait and built by [`BucketsBuilder`] (`build` for the
 //! parallel structure, `build_seq`/`build_mapped` for the sequential and
-//! internal-map variants, `build_fused` for the fusion-wrapped parallel
-//! structure):
+//! internal-map variants):
 //!
 //! ```
 //! use julienne::bucket::{Bucketing, BucketsBuilder, Order, NULL_BKT};
@@ -53,13 +52,11 @@
 //!   present at creation (set-cover degrees only shrink, so this holds).
 //! * An identifier may appear at most once per `update_buckets` call.
 
-mod fused;
 mod mapped;
 mod par;
 mod seq;
 mod traits;
 
-pub use fused::{FusedBuckets, FusionPolicy, FusionStats, DEFAULT_FUSION_THRESHOLD};
 pub use mapped::MappedBuckets;
 pub use par::{Buckets, BucketsBuilder, DEFAULT_OPEN_BUCKETS};
 pub use seq::SeqBuckets;

@@ -22,8 +22,8 @@
 //! calls and O((K + L) log n) depth w.h.p. for L `nextBucket` calls.
 
 use super::{
-    BucketDest, BucketId, BucketStats, Bucketing, FusedBuckets, FusionPolicy, Identifier,
-    MappedBuckets, Order, SeqBuckets, DEFAULT_FUSION_THRESHOLD, NULL_BKT,
+    BucketDest, BucketId, BucketStats, Bucketing, Identifier, MappedBuckets, Order, SeqBuckets,
+    NULL_BKT,
 };
 use julienne_primitives::filter::filter_map;
 use julienne_primitives::histogram::blocked_histogram;
@@ -61,9 +61,8 @@ pub struct Buckets<D> {
 
 /// Builder for every bucket structure — the single construction path for
 /// the parallel ([`build`](Self::build)), sequential
-/// ([`build_seq`](Self::build_seq)), internal-map
-/// ([`build_mapped`](Self::build_mapped)), and fusion-wrapped
-/// ([`build_fused`](Self::build_fused)) representations.
+/// ([`build_seq`](Self::build_seq)), and internal-map
+/// ([`build_mapped`](Self::build_mapped)) representations.
 ///
 /// ```
 /// use julienne::bucket::{Bucketing, BucketsBuilder, Order};
@@ -79,13 +78,11 @@ pub struct BucketsBuilder<D> {
     order: Order,
     num_open: usize,
     telemetry: Telemetry,
-    fusion: FusionPolicy,
-    fusion_threshold: f64,
 }
 
 impl<D> BucketsBuilder<D> {
     /// Starts a builder for `makeBuckets(n, D, O)` with the paper's default
-    /// window of 128 open buckets, no telemetry, and fusion off.
+    /// window of 128 open buckets and no telemetry.
     pub fn new(n: usize, d: D, order: Order) -> Self {
         BucketsBuilder {
             n,
@@ -93,8 +90,6 @@ impl<D> BucketsBuilder<D> {
             order,
             num_open: DEFAULT_OPEN_BUCKETS,
             telemetry: Telemetry::disabled(),
-            fusion: FusionPolicy::default(),
-            fusion_threshold: DEFAULT_FUSION_THRESHOLD,
         }
     }
 
@@ -111,21 +106,6 @@ impl<D> BucketsBuilder<D> {
     /// extracted identifier counts and overflow redistributions.
     pub fn telemetry(mut self, sink: &Telemetry) -> Self {
         self.telemetry = sink.clone();
-        self
-    }
-
-    /// Sets the fusion policy applied by [`build_fused`](Self::build_fused)
-    /// (ignored by the raw `build*` methods).
-    pub fn fusion(mut self, policy: FusionPolicy) -> Self {
-        self.fusion = policy;
-        self
-    }
-
-    /// Sets the `fusion=auto` threshold (fraction of a round's non-null
-    /// moves that must target the current bucket before the fast path
-    /// fires).
-    pub fn fusion_threshold(mut self, threshold: f64) -> Self {
-        self.fusion_threshold = threshold;
         self
     }
 }
@@ -146,17 +126,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> BucketsBuilder<D> {
         MappedBuckets::from_builder(self.n, self.d, self.order, self.num_open, &self.telemetry)
     }
 
-    /// Builds the parallel structure wrapped in the fusion adapter,
-    /// honoring [`fusion`](Self::fusion) and
-    /// [`fusion_threshold`](Self::fusion_threshold). With
-    /// [`FusionPolicy::Off`] the wrapper is a pure passthrough.
-    pub fn build_fused(self) -> FusedBuckets<Buckets<D>> {
-        let policy = self.fusion;
-        let threshold = self.fusion_threshold;
-        let telemetry = self.telemetry.clone();
-        FusedBuckets::new(self.build(), policy, threshold, &telemetry)
-    }
-
     /// Builds the structure and performs the initial insertion of every
     /// identifier `i in 0..n` with `D(i) != NULL_BKT`.
     pub fn build(self) -> Buckets<D> {
@@ -166,7 +135,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> BucketsBuilder<D> {
             order,
             num_open,
             telemetry,
-            ..
         } = self;
         assert!(num_open >= 1);
         let flip_base = match order {
@@ -508,8 +476,7 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
     /// Used by the light/heavy edge optimization of Δ-stepping (Section
     /// 4.2), which must finish relaxing light edges inside the current
     /// annulus before the heavy relaxations may repopulate *earlier* open
-    /// buckets than the next non-empty one, and by the fusion adapter's
-    /// drain-merge.
+    /// buckets than the next non-empty one.
     fn try_next_in_current(&mut self) -> Option<Vec<Identifier>> {
         if self.cur_local >= self.num_open || self.open[self.cur_local].is_empty() {
             return None;
@@ -537,20 +504,6 @@ impl<D: Fn(Identifier) -> BucketId + Sync> Bucketing for Buckets<D> {
     /// The bucket id at the structure's current position.
     fn current_bucket(&self) -> BucketId {
         self.bucket_of_key(self.cur_key())
-    }
-
-    /// A destination addresses the current bucket iff its slot is the
-    /// cursor's slot within the open window: keys behind the cursor map to
-    /// `NULL`, and a same-slot key in a *later* window maps to the overflow
-    /// slot, so the slot comparison is exact.
-    fn is_current_destination(&self, dest: BucketDest) -> bool {
-        !dest.is_null() && self.cur_local < self.num_open && dest.0 == self.cur_local as u32
-    }
-
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier> {
-        let bkt = self.bucket_of_key(self.cur_key());
-        let d = &self.d;
-        filter_map(&raw, |&i| if d(i) == bkt { Some(i) } else { None })
     }
 }
 

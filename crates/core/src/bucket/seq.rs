@@ -198,17 +198,6 @@ impl<D: Fn(Identifier) -> BucketId> Bucketing for SeqBuckets<D> {
     fn current_bucket(&self) -> BucketId {
         self.bucket_of_key(self.cur)
     }
-
-    /// In the exact representation a destination *is* a key, so "current"
-    /// is a direct key comparison.
-    fn is_current_destination(&self, dest: BucketDest) -> bool {
-        !dest.is_null() && dest.0 as u64 == self.cur
-    }
-
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier> {
-        let bkt = self.bucket_of_key(self.cur);
-        raw.into_iter().filter(|&i| (self.d)(i) == bkt).collect()
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +266,6 @@ mod tests {
         d.borrow_mut()[1] = 1;
         let dest = b.get_bucket(1, NULL_BKT, 1);
         assert!(!dest.is_null());
-        assert!(b.is_current_destination(dest));
         b.update_buckets(&[(1, dest)]);
         assert_eq!(b.next_bucket().unwrap(), (1, vec![1]));
     }

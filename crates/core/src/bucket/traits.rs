@@ -9,8 +9,7 @@
 //! information any backend needs and ignores what it does not use — and
 //! lifts the par-only extras (`try_next_in_current`,
 //! `update_buckets_semisort`, `stats`) into the trait with documented
-//! defaults, so algorithms are generic over the representation and the
-//! fusion adapter ([`super::FusedBuckets`]) can wrap any of them.
+//! defaults, so algorithms are generic over the representation.
 
 use super::{BucketDest, BucketId, Identifier};
 
@@ -45,12 +44,11 @@ pub struct BucketStats {
 
 /// The bucketing interface (the paper's `buckets` object), implemented by
 /// the parallel open-window structure ([`super::Buckets`]), the sequential
-/// exact structure ([`super::SeqBuckets`]), the internal-map ablation
-/// variant ([`super::MappedBuckets`]), and the fusion adapter
-/// ([`super::FusedBuckets`]).
+/// exact structure ([`super::SeqBuckets`]), and the internal-map ablation
+/// variant ([`super::MappedBuckets`]).
 ///
 /// Construct any of them through [`super::BucketsBuilder`] (`build`,
-/// `build_seq`, `build_mapped`, `build_fused`).
+/// `build_seq`, `build_mapped`).
 pub trait Bucketing {
     /// `getBucket(i, prev, next)`: the physical destination for identifier
     /// `i` whose logical bucket changes from `prev` (`NULL_BKT` if not yet
@@ -89,7 +87,7 @@ pub trait Bucketing {
     /// advancing the cursor; otherwise returns `None` (cursor unchanged).
     ///
     /// Used by the light/heavy edge optimization of Δ-stepping (Section
-    /// 4.2) and by the fusion adapter's drain-merge. Default: `None`
+    /// 4.2). Default: `None`
     /// (a backend without an addressable current bucket never has a
     /// specialized fast path; callers must treat `None` as "fall through to
     /// `next_bucket`", which is always correct). All in-tree backends
@@ -114,16 +112,4 @@ pub trait Bucketing {
     fn total_extracted(&self) -> u64 {
         self.stats().identifiers_extracted
     }
-
-    /// Whether `dest` (as returned by [`Bucketing::get_bucket`]) addresses
-    /// the structure's *current* bucket — i.e. whether `update_buckets`
-    /// would reinsert the identifier into the bucket `next_bucket` is about
-    /// to re-examine. This is the move class the fusion fast path diverts.
-    fn is_current_destination(&self, dest: BucketDest) -> bool;
-
-    /// Filters `raw` down to the identifiers whose `D` value equals the
-    /// current bucket — the exact liveness check `next_bucket` applies to a
-    /// freshly taken bucket array. The fusion adapter uses this to drain
-    /// its buffer with unchanged dedup/snapshot semantics.
-    fn filter_live_current(&self, raw: Vec<Identifier>) -> Vec<Identifier>;
 }

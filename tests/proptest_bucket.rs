@@ -157,3 +157,95 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// The four semantic counters agree across all three
+/// bucket backends (par histogram, sequential reference, exact id→bucket
+/// map) when driven through the same monotone workload via the unified
+/// `Bucketing` trait.
+#[test]
+fn semantic_counters_agree_across_backends() {
+    use julienne_repro::primitives::rng::SplitMix64;
+    use std::sync::atomic::{AtomicU32, Ordering as AO};
+
+    fn drive(
+        build: impl FnOnce(&Vec<AtomicU32>) -> Box<dyn Bucketing + '_>,
+        d: &Vec<AtomicU32>,
+    ) -> (u64, u64, u64, u64) {
+        let mut b = build(d);
+        let mut rng = SplitMix64::new(0xC0DE);
+        while let Some((cur, ids)) = b.next_bucket() {
+            let mut moves = Vec::new();
+            for &i in &ids {
+                let v = (rng.next_u64() % d.len() as u64) as u32;
+                let dv = d[v as usize].load(AO::SeqCst);
+                if dv != u32::MAX && dv > cur {
+                    let new = (dv / 2).max(cur);
+                    d[v as usize].store(new, AO::SeqCst);
+                    moves.push((v, b.get_bucket(v, dv, new)));
+                }
+                let _ = i;
+            }
+            b.update_buckets(&moves);
+        }
+        let s = b.stats();
+        (
+            s.identifiers_extracted,
+            s.identifiers_moved,
+            s.null_requests,
+            s.buckets_extracted,
+        )
+    }
+
+    let n = 4_000usize;
+    let init = |seed: u64| -> Vec<AtomicU32> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| AtomicU32::new((rng.next_u64() % 96) as u32))
+            .collect()
+    };
+
+    let d1 = init(9);
+    let par = drive(
+        |d| {
+            Box::new(
+                BucketsBuilder::new(
+                    n,
+                    |i: u32| d[i as usize].load(AO::SeqCst),
+                    Order::Increasing,
+                )
+                .build(),
+            )
+        },
+        &d1,
+    );
+    let d2 = init(9);
+    let seq = drive(
+        |d| {
+            Box::new(
+                BucketsBuilder::new(
+                    n,
+                    |i: u32| d[i as usize].load(AO::SeqCst),
+                    Order::Increasing,
+                )
+                .build_seq(),
+            )
+        },
+        &d2,
+    );
+    let d3 = init(9);
+    let mapped = drive(
+        |d| {
+            Box::new(
+                BucketsBuilder::new(
+                    n,
+                    |i: u32| d[i as usize].load(AO::SeqCst),
+                    Order::Increasing,
+                )
+                .build_mapped(),
+            )
+        },
+        &d3,
+    );
+    assert_eq!(par, seq, "par vs seq semantic counters");
+    assert_eq!(par, mapped, "par vs mapped semantic counters");
+}
